@@ -43,12 +43,16 @@ number at least ``k``.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.granular_ball import GranularBallSet
 from repro.core.neighbors import distances_to
-from repro.core.rdgbg import RDGBGResult
+from repro.core.rdgbg import _RADIUS_RTOL, RDGBGResult
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "GranulationBackend",
@@ -298,6 +302,8 @@ class BallCenterIndex:
             return float((distances_to(c, centers) - radii).min())
 
         if m - self._n_indexed > self._n_indexed:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(centers.copy())
             self._n_indexed = m
             self._r_max_indexed = float(radii.max())
@@ -441,24 +447,29 @@ class VectorisedBackend(GranulationBackend):
                 in_l[ci] = True
                 return
 
+        # Conflict radius first: the radius is clipped to r_conf, and no
+        # member threshold of _collect_members exceeds this stop distance,
+        # so rows beyond it cannot change the radius or the members.
+        r_conf = index.conflict_radius(x[ci]) if index is not None else np.inf
+        stop = r_conf * (1.0 + _RADIUS_RTOL) + 1e-15
+
         # Extend the prefix until it contains the first heterogeneous
-        # neighbour (which bounds the homogeneous run ω) or covers the pool.
+        # neighbour (which bounds the homogeneous run ω), passes the stop
+        # distance, or covers the pool.  A run cut at the stop distance is
+        # shorter than ω only by rows neither the clipping nor the member
+        # collection can reach; when even the nearest neighbour lies past
+        # r_conf, one scan decides and the radius is 0.
         while True:
             homo = y[sorted_idx] == y_ci
             if not homo.all():
                 omega = int(np.argmin(homo))
                 break
-            if sorted_idx.size >= scan.n_available:
+            if sorted_idx.size >= scan.n_available or sorted_dist[-1] > stop:
                 omega = int(homo.size)
                 break
             k = min(k * 4, scan.n_available)
             sorted_idx, sorted_dist = scan.prefix(k)
 
-        if omega == 0:
-            in_l[ci] = True
-            return
-
-        r_conf = index.conflict_radius(x[ci]) if index is not None else np.inf
         radius = generator._clip_radius(sorted_dist, omega, r_conf)
         if radius <= 0.0:
             in_l[ci] = True

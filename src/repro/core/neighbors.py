@@ -11,8 +11,12 @@ Everything in this module is a thin, well-tested wrapper around numpy /
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "pairwise_distances",
@@ -96,6 +100,10 @@ class NearestNeighbors:
             raise ValueError("cannot index an empty dataset")
         self._fit_x = x
         if x.shape[1] < self.brute_force_dim:
+            # Imported here so processes that never build a tree (the
+            # serving path) do not pay for loading scipy.
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(x)
         else:
             self._tree = None

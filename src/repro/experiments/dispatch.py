@@ -73,6 +73,7 @@ __all__ = [
     "write_manifest",
     "load_manifests",
     "prune_manifests",
+    "recently_completed",
     "pending_units",
     "wait_for_grid",
     "worker_command",
@@ -82,6 +83,9 @@ __all__ = [
 
 #: Manifest files live next to the results they describe.
 MANIFEST_SUFFIX = ".plan"
+#: A pruned manifest leaves ``plan-<digest>.done`` behind: completion is
+#: recorded as a fact, not inferred from the plan's absence.
+DONE_SUFFIX = ".done"
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,9 @@ def write_manifest(
 _MANIFEST_CACHE: dict[tuple[str, str], tuple[float, list[WorkUnit]]] = {}
 
 
-def _manifest_names(backend: StoreBackend) -> list[str]:
+def _manifest_names(
+    backend: StoreBackend, suffix: str = MANIFEST_SUFFIX
+) -> list[str]:
     # Prefix-filtered and paginated: workers poll this every round, and
     # object stores list server-side in bounded pages — never scan the
     # whole store (or hold an unbounded listing) for a few manifests.
@@ -237,7 +243,7 @@ def _manifest_names(backend: StoreBackend) -> list[str]:
     token = None
     while True:
         page, token = backend.list_page(prefix="plan-", token=token)
-        names.extend(n for n in page if n.endswith(MANIFEST_SUFFIX))
+        names.extend(n for n in page if n.endswith(suffix))
         if token is None:
             return names
 
@@ -306,8 +312,11 @@ def prune_manifests(store: CellStore) -> int:
     and workers would adopt all of them as their exit condition
     (recomputing stale grids nobody asked about).  Workers and
     coordinators prune on completion; a worker that later observes its
-    previously-seen plan gone treats the grid as finished.  Manifests are
-    the only entries this function may delete — results are immutable.
+    previously-seen plan gone treats the grid as finished.  Each pruned
+    manifest first leaves a ``.done`` tombstone, so a worker that starts
+    too late to see the plan at all can tell a finished grid from one not
+    yet planned (:func:`recently_completed`).  Manifests are the only
+    entries this function may delete — results are immutable.
     """
     backend = store.backend
     if backend is None:
@@ -318,10 +327,32 @@ def prune_manifests(store: CellStore) -> int:
         if parsed is None:
             continue  # load_manifests owns corrupt-entry healing
         if all(store.has("cell", unit.key) for unit in parsed):
+            done = name[: -len(MANIFEST_SUFFIX)] + DONE_SUFFIX
+            backend.put_atomic(done, b"done\n")
             backend.delete(name)
             _MANIFEST_CACHE.pop((backend.url, name), None)
             pruned += 1
     return pruned
+
+
+def recently_completed(store: CellStore) -> bool:
+    """Whether some grid on this store completed within one lease TTL.
+
+    A worker that has never seen a plan and finds none is either early
+    (its coordinator has not planned yet) or late (faster peers finished
+    and pruned the plan while it started).  A tombstone younger than the
+    lease TTL, aged on the store's clock like a lease, marks the late
+    case.  Older tombstones belong to earlier grids on a reused store
+    and keep the worker waiting for its plan.
+    """
+    backend = store.backend
+    if backend is None:
+        return False
+    for name in _manifest_names(backend, DONE_SUFFIX):
+        stamp = backend.mtime(name)
+        if stamp is not None and store.clock() - stamp <= store.lease_ttl:
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------

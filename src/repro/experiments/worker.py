@@ -19,7 +19,9 @@ stack (``--jobs`` fans the cell's folds over a local process pool),
 flush the result, release the claim.  It exits when every manifest cell
 has a result.  A worker started *before* its coordinator (the natural
 multi-node order) waits up to ``--max-idle`` seconds for a manifest to
-appear, then exits with status 3 if none ever did.
+appear, then exits with status 3 if none ever did.  A worker started so
+late that its peers already finished and pruned the plan finds the
+grid's ``.done`` tombstone (younger than one lease TTL) and exits 0.
 
 Fault model (the invariants the fault-injection suite pins down):
 
@@ -234,6 +236,10 @@ def worker_loop(
                         # Explicitly told there is nothing to do — or the
                         # plan we were working from was pruned, which only
                         # happens once its grid completed.
+                        break
+                    # A grid finished by faster peers before this worker
+                    # ever looked: nothing is left to do.
+                    if dispatch.recently_completed(store):
                         break
                     # No manifests yet: workers legitimately start before
                     # their coordinator writes the plan (the multi-node

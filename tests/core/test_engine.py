@@ -251,3 +251,25 @@ class TestSoABallSetViews:
                 offsets=np.array([1, 2]),  # 2 offsets for 2 balls: invalid
                 n_source_samples=3,
             )
+
+
+class TestWorkBound:
+    def test_s11_fit_sorts_a_bounded_number_of_prefix_rows(self, monkeypatch):
+        """Conflict-radius-first diffusion: on S11 x 0.25 almost every
+        candidate's nearest neighbour lies beyond r_conf, so the prefix
+        scans return ~171k rows in total; searching each homogeneous run
+        to its end first returned ~26.8M."""
+        from repro.datasets import load_dataset
+
+        x, y = load_dataset("S11", size_factor=0.25, random_state=0)
+        rows = []
+        original = CandidateScan.prefix
+
+        def counted(self, k):
+            result = original(self, k)
+            rows.append(result[0].size)
+            return result
+
+        monkeypatch.setattr(CandidateScan, "prefix", counted)
+        RDGBG(rho=5, random_state=0).generate(x, y)
+        assert sum(rows) < 1_000_000

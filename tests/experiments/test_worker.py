@@ -145,6 +145,37 @@ class TestWorkerLoop:
         assert stats["computed"] == 0
         assert not stats["idle_timeout"]
 
+    def test_late_joiner_after_completion_exits_at_once(self, tmp_path):
+        """A worker that starts after its peers finished and pruned the
+        plan must exit cleanly within a poll, not wait out max_idle."""
+        from repro.experiments import dispatch
+        from tests.property.test_distributed_parity import TINY
+
+        units = dispatch.plan_grid(TINY, ["table2"])[:2]
+        dispatch.write_manifest(tmp_path, TINY, units)
+        worker.worker_loop(tmp_path, jobs=1, max_idle=60.0)
+        start = time.monotonic()
+        stats = worker.worker_loop(tmp_path, jobs=1, poll=0.02, max_idle=5.0)
+        assert stats["computed"] == 0
+        assert not stats["idle_timeout"]
+        assert time.monotonic() - start < 2.0
+
+    def test_an_old_completion_does_not_end_the_wait(self, tmp_path):
+        """On a reused store, a grid finished more than a lease TTL ago
+        says nothing about the plan this worker waits for."""
+        from repro.experiments import dispatch
+        from tests.property.test_distributed_parity import TINY
+
+        units = dispatch.plan_grid(TINY, ["table2"])[:1]
+        dispatch.write_manifest(tmp_path, TINY, units)
+        worker.worker_loop(tmp_path, jobs=1, max_idle=60.0)
+        time.sleep(0.3)
+        stats = worker.worker_loop(
+            tmp_path, jobs=1, lease_ttl=0.2, poll=0.02, max_idle=0.2
+        )
+        assert stats["computed"] == 0
+        assert stats["idle_timeout"]
+
     def test_process_store_restored_after_loop(self, tmp_path):
         before = get_store()
         worker.worker_loop(tmp_path, jobs=1, poll=0.02, max_idle=0.1)

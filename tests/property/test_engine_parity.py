@@ -139,3 +139,117 @@ def test_gb_classifier_identical_across_backends(blobs3):
         clf = GranularBallClassifier(rho=5, random_state=0, backend=backend).fit(x, y)
         preds[backend] = clf.predict(x)
     np.testing.assert_array_equal(preds["legacy"], preds["engine"])
+
+
+# ----------------------------------------------------------------------
+# conflict-radius-first diffusion: one candidate, hand-built geometry
+# ----------------------------------------------------------------------
+#
+# Each case places an existing ball centred at -4 with radius 1, so the
+# candidate at 0 has r_conf = 3 exactly, and runs one candidate through
+# both backends from the same state.  Row 0 is the old ball's centre (no
+# longer undivided), row 1 the candidate; the rest are listed by position.
+
+
+def _one_candidate(monkeypatch, positions, labels, *, enforce_no_overlap=True):
+    """Run the candidate through both backends; returns the legacy balls
+    and the number of prefix scans the engine needed."""
+    from repro.core.engine import (
+        BallCenterIndex,
+        CandidateScan,
+        GranularBallSetBuilder,
+        ShrinkingPool,
+        VectorisedBackend,
+        _prefix_slack,
+    )
+
+    x = np.concatenate(([-4.0, 0.0], positions))[:, None]
+    y = np.concatenate(([1, 0], labels))
+    n = x.shape[0]
+    gen = RDGBG(rho=5, enforce_no_overlap=enforce_no_overlap)
+
+    def fresh_state():
+        in_u = np.ones(n, dtype=bool)
+        in_u[0] = False
+        return in_u, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+
+    legacy_state = fresh_state()
+    balls = []
+    gen._process_candidate(1, x, y, *legacy_state, balls, [x[0]], [1.0])
+
+    engine_state = fresh_state()
+    pool = ShrinkingPool(x)
+    pool.kill(np.array([0]))
+    index = BallCenterIndex(1) if enforce_no_overlap else None
+    if index is not None:
+        index.add(x[0], 1.0)
+    builder = GranularBallSetBuilder(1, n)
+    calls = []
+    original = CandidateScan.prefix
+
+    def counted(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(CandidateScan, "prefix", counted)
+    VectorisedBackend()._process_candidate(
+        gen, 1, x, y, *engine_state, pool, index, builder, _prefix_slack(1)
+    )
+
+    for want, got in zip(legacy_state, engine_state):
+        np.testing.assert_array_equal(want, got)
+    assert len(builder) == len(balls)
+    if balls:
+        built = builder.build()
+        assert built.radii[0] == balls[0].radius
+        np.testing.assert_array_equal(built.members_of(0), balls[0].indices)
+    return balls, len(calls)
+
+
+@pytest.mark.parametrize("noise_first", [False, True])
+def test_candidate_whose_nearest_neighbour_lies_beyond_r_conf(monkeypatch, noise_first):
+    # 100 same-class rows from 3.5 on: the nearest is past r_conf = 3, so
+    # the clipped radius is 0 without searching past the first prefix.
+    # With noise_first the nearest row is a lone dissenter (h == 1),
+    # removed as noise before the radius is looked at.
+    positions = np.linspace(3.5, 9.0, 100)
+    labels = np.zeros(100, dtype=int)
+    if noise_first:
+        positions = np.concatenate(([0.01], positions))
+        labels = np.concatenate(([1], labels))
+    balls, prefix_calls = _one_candidate(monkeypatch, positions, labels)
+    assert balls == []
+    assert prefix_calls == 1
+
+
+def test_r_conf_between_first_neighbour_and_cr_keeps_tolerance_members(monkeypatch):
+    # 29 rows inside r_conf, one exactly at it (so the radius is r_conf),
+    # then rows just past it, r_conf + 5e-16 among them: the first prefix
+    # ends there, inside the member tolerance.  A row at r_conf + 1e-12 is
+    # beyond that prefix but still a member, so the extension must not
+    # stop at r_conf itself.  CR is 3.5 (the last row before the dissenter
+    # at 5), above r_conf.
+    tol = [np.nextafter(3.0, 4.0), 3.0 + 5e-16, 3.0 + 8e-16]
+    positions = np.concatenate(
+        (np.linspace(0.1, 2.9, 29), [3.0], tol, [3.0 + 1e-12, 3.5, 5.0])
+    )
+    labels = np.concatenate((np.zeros(35, dtype=int), [1]))
+    balls, prefix_calls = _one_candidate(monkeypatch, positions, labels)
+    assert len(balls) == 1
+    assert balls[0].radius == 3.0
+    # the centre plus all 34 rows up to r_conf + 1e-12
+    assert balls[0].indices.size == 35
+    assert prefix_calls == 2
+
+
+def test_without_overlap_clipping_the_run_reaches_the_first_dissenter(monkeypatch):
+    # enforce_no_overlap=False: r_conf = inf, so the prefix must extend to
+    # the first heterogeneous row, which lies beyond the first prefix.
+    positions = np.concatenate((np.linspace(0.1, 6.0, 60), [7.0]))
+    labels = np.concatenate((np.zeros(60, dtype=int), [1]))
+    balls, prefix_calls = _one_candidate(
+        monkeypatch, positions, labels, enforce_no_overlap=False
+    )
+    assert len(balls) == 1
+    assert balls[0].radius == 6.0
+    assert prefix_calls == 2

@@ -629,13 +629,19 @@ class TestMultiModelCli:
                     assert await client.predict(probe) == expected_v1
 
                     # SIGHUP reloads every model: republish alpha as v2
-                    # first so the fan-out has something to swap.
+                    # first so the fan-out has something to swap.  The
+                    # models reload one after another, so wait for both:
+                    # alpha 1 -> 2, beta (start + admin + sighup) -> 3.
                     clf_v2.freeze(path_a)
                     proc.send_signal(signal.SIGHUP)
                     deadline = time.monotonic() + 15
                     while time.monotonic() < deadline:
                         health = await client.healthz()
-                        if health["models"]["alpha"]["generation"] == 2:
+                        generations = {
+                            name: entry["generation"]
+                            for name, entry in health["models"].items()
+                        }
+                        if generations == {"alpha": 2, "beta": 3}:
                             break
                         await asyncio.sleep(0.05)
                     assert health["models"]["alpha"]["generation"] == 2
@@ -651,7 +657,6 @@ class TestMultiModelCli:
             assert ready
             alpha_swaps = health["models"]["alpha"]["swaps"]
             assert alpha_swaps[-1]["reason"] == "sighup"
-            # beta's generation: 1 (start) + admin + sighup = 3
             assert health["models"]["beta"]["generation"] == 3
 
             proc.send_signal(signal.SIGTERM)
